@@ -3,8 +3,8 @@ GO ?= go
 # BENCH_ID names the combined trajectory file bench-json writes
 # (BENCH_$(BENCH_ID).json); bump it per PR so trajectories accumulate.
 # BENCH_BASE is the previous snapshot bench-diff gates against.
-BENCH_ID ?= pr10
-BENCH_BASE ?= pr9
+BENCH_ID ?= pr12
+BENCH_BASE ?= pr10
 
 .PHONY: verify verify-race build vet test race bench bench-json bench-diff bench-diff-ci example-recovery docs-check scenario-smoke
 

@@ -110,6 +110,12 @@ func (bi *blockIndex) mayContain(off, end uint32) bool {
 
 // insert merges [off, off+len(data)) into the index under the index's
 // merge mode. The data slice is copied; callers may reuse their buffer.
+// A range that lies inside one existing extent — the hot-block case —
+// is overwritten or XOR-folded into that extent's bytes in place, so it
+// costs O(update) and allocates nothing; any other overlap or adjacency
+// allocates one exact-size buffer for the union. Extent bytes therefore
+// change after they are written: slices returned by lookup or held from
+// extents are valid only until the next insert.
 func (bi *blockIndex) insert(off uint32, data []byte, v time.Duration) {
 	if len(data) == 0 {
 		return
@@ -125,6 +131,18 @@ func (bi *blockIndex) insert(off uint32, data []byte, v time.Duration) {
 	// extents are sorted by Off; find first with End() >= off and the
 	// run while Off <= end (touching counts, to concatenate adjacency).
 	first := sort.Search(len(bi.extents), func(i int) bool { return bi.extents[i].End() >= off })
+	if first < len(bi.extents) {
+		if e := &bi.extents[first]; e.Off <= off && end <= e.End() {
+			switch bi.mode {
+			case Overwrite:
+				copy(e.Data[off-e.Off:], data)
+			case XorFold:
+				gf256.XorSlice(e.Data[off-e.Off:end-e.Off], data)
+			}
+			e.V = min(e.V, v)
+			return
+		}
+	}
 	last := first
 	for last < len(bi.extents) && bi.extents[last].Off <= end {
 		last++

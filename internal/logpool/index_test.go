@@ -3,9 +3,11 @@ package logpool
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func mk(n int, fill byte) []byte {
@@ -313,5 +315,152 @@ func TestExtentEnd(t *testing.T) {
 	e := Extent{Off: 10, Data: mk(5, 0)}
 	if e.End() != 15 {
 		t.Fatal("End wrong")
+	}
+}
+
+// diffRange picks the next insert range for TestInsertDifferential:
+// inside, straddling or adjacent to an existing extent, or anywhere,
+// 512 B-aligned or not, 1 B to 64 KiB long, clipped to span.
+func diffRange(rng *rand.Rand, bi *blockIndex, span uint32) (off, n uint32) {
+	aligned := rng.Intn(2) == 0
+	if aligned {
+		n = 512 * uint32(1+rng.Intn(128))
+	} else {
+		n = 1 + uint32(rng.Intn(1<<rng.Intn(17)))
+	}
+	off = uint32(rng.Intn(int(span)))
+	if len(bi.extents) > 0 {
+		e := bi.extents[rng.Intn(len(bi.extents))]
+		switch rng.Intn(5) {
+		case 0, 1: // inside
+			off = e.Off + uint32(rng.Intn(len(e.Data)))
+			n = 1 + uint32(rng.Intn(int(e.End()-off)))
+			if aligned && e.Off%512 == 0 && len(e.Data) >= 512 {
+				off = e.Off + 512*uint32(rng.Intn(len(e.Data)/512))
+				n = 512 * uint32(1+rng.Intn(int(e.End()-off)/512))
+			}
+		case 2: // straddling the end
+			inside := 1 + uint32(rng.Intn(min(len(e.Data), int(n))))
+			off, n = e.End()-inside, inside+n
+		case 3: // adjacent after or before
+			if rng.Intn(2) == 0 || e.Off < n {
+				off = e.End()
+			} else {
+				off = e.Off - n
+			}
+		}
+	}
+	if off >= span {
+		off = span - 1
+	}
+	return off, min(n, span-off)
+}
+
+// TestInsertDifferential checks seeded random insert sequences in both
+// merge modes against a flat byte-array model, through overlay and
+// lookup, and checks the index invariants: extents sorted, disjoint and
+// non-adjacent, bytes equal to their summed length, and each extent's V
+// the minimum over the records folded into it.
+func TestInsertDifferential(t *testing.T) {
+	const span = 256 << 10
+	random := make([]byte, 1<<20)
+	rand.New(rand.NewSource(0)).Read(random)
+	allTrue := make([]bool, span)
+	for i := range allTrue {
+		allTrue[i] = true
+	}
+	for _, mode := range []MergeMode{Overwrite, XorFold} {
+		for seed := int64(1); seed <= 12; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			bi := &blockIndex{mode: mode}
+			model := make([]byte, span)
+			covered := make([]bool, span)
+			type rec struct {
+				off, end uint32
+				v        time.Duration
+			}
+			var recs []rec
+			for i := 0; i < 150; i++ {
+				off, n := diffRange(rng, bi, span)
+				from := rng.Intn(len(random) - int(n))
+				data := random[from : from+int(n)]
+				v := time.Duration(rng.Intn(1000))
+				bi.insert(off, data, v)
+				recs = append(recs, rec{off, off + n, v})
+				if mode == XorFold {
+					for j, b := range data {
+						model[off+uint32(j)] ^= b
+					}
+				} else {
+					copy(model[off:], data)
+				}
+				copy(covered[off:off+n], allTrue)
+			}
+
+			var total int64
+			inExtent := make([]bool, span)
+			for i, e := range bi.extents {
+				if i > 0 && bi.extents[i-1].End() >= e.Off {
+					t.Fatalf("%v seed %d: extents %d and %d overlap or touch", mode, seed, i-1, i)
+				}
+				total += int64(len(e.Data))
+				minV := time.Duration(-1)
+				for _, r := range recs {
+					if r.off >= e.Off && r.end <= e.End() && (minV < 0 || r.v < minV) {
+						minV = r.v
+					}
+				}
+				if e.V != minV {
+					t.Fatalf("%v seed %d: extent at %d has V %v, want %v", mode, seed, e.Off, e.V, minV)
+				}
+				copy(inExtent[e.Off:e.End()], allTrue)
+			}
+			if total != bi.bytes {
+				t.Fatalf("%v seed %d: bytes = %d, extents sum to %d", mode, seed, bi.bytes, total)
+			}
+			if !slices.Equal(inExtent, covered) {
+				t.Fatalf("%v seed %d: extents do not cover exactly the inserted bytes", mode, seed)
+			}
+
+			// Through overlay: covered bytes read the model, the rest
+			// keep the base content. holes[i] counts uncovered bytes
+			// below i, for the lookup checks.
+			base := random[:span]
+			got := append([]byte(nil), base...)
+			bi.overlay(0, got)
+			holes := make([]int, span+1)
+			for i := range got {
+				want, hole := base[i], 1
+				if covered[i] {
+					want, hole = model[i], 0
+				}
+				if got[i] != want {
+					t.Fatalf("%v seed %d: overlay byte %d = %d, want %d", mode, seed, i, got[i], want)
+				}
+				holes[i+1] = holes[i] + hole
+			}
+			for q := 0; q < 200; q++ {
+				off, n := diffRange(rng, bi, span)
+				data, ok := bi.lookup(off, n)
+				if full := holes[off+n] == holes[off]; ok != full {
+					t.Fatalf("%v seed %d: lookup(%d, %d) hit = %v, want %v", mode, seed, off, n, ok, full)
+				}
+				if ok && !bytes.Equal(data, model[off:off+n]) {
+					t.Fatalf("%v seed %d: lookup(%d, %d) returned stale bytes", mode, seed, off, n)
+				}
+			}
+		}
+	}
+}
+
+// An update inside one existing extent is applied in place.
+func TestInsertInsideExtentAllocatesNothing(t *testing.T) {
+	for _, mode := range []MergeMode{Overwrite, XorFold} {
+		bi := &blockIndex{mode: mode}
+		bi.insert(0, make([]byte, 64<<10), 0)
+		data := mk(4096, 7)
+		if allocs := testing.AllocsPerRun(100, func() { bi.insert(8192, data, 1) }); allocs != 0 {
+			t.Fatalf("%v: %v allocs per inside insert, want 0", mode, allocs)
+		}
 	}
 }

@@ -504,8 +504,8 @@ func (p *Pool) Close() {
 // unit is not necessarily current for every byte — a newer unit may
 // hold a partial update inside the range — so the newer units' extents
 // are overlaid, oldest to newest, before the content is returned. The
-// returned slice aliases internal storage only when no overlay was
-// needed and must not be modified.
+// hit is copied under the unit's read lock (appends rewrite extent bytes
+// in place), so the returned slice is the caller's to keep and modify.
 func (p *Pool) Lookup(block wire.BlockID, off, size uint32) ([]byte, bool) {
 	p.mu.Lock()
 	units := make([]*Unit, len(p.queue))
@@ -514,25 +514,19 @@ func (p *Pool) Lookup(block wire.BlockID, off, size uint32) ([]byte, bool) {
 	for i := len(units) - 1; i >= 0; i-- {
 		u := units[i]
 		u.mu.RLock()
-		bi := u.blocks[block]
 		var data []byte
-		ok := false
-		if bi != nil {
-			data, ok = bi.lookup(off, size)
+		if bi := u.blocks[block]; bi != nil {
+			if hit, ok := bi.lookup(off, size); ok {
+				data = append([]byte(nil), hit...)
+			}
 		}
 		u.mu.RUnlock()
-		if !ok {
+		if data == nil {
 			continue
 		}
-		copied := false
-		for j := i + 1; j < len(units); j++ {
-			nu := units[j]
+		for _, nu := range units[i+1:] {
 			nu.mu.RLock()
 			if nbi := nu.blocks[block]; nbi != nil {
-				if !copied {
-					data = append([]byte(nil), data...)
-					copied = true
-				}
 				nbi.overlay(off, data)
 			}
 			nu.mu.RUnlock()

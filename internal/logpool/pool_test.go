@@ -363,3 +363,57 @@ func TestStateString(t *testing.T) {
 		t.Fatal("unknown state must stringify")
 	}
 }
+
+// A Lookup result belongs to the caller: a later append that rewrites
+// the same range in place must not change it, and writing to it must
+// not change the log.
+func TestLookupResultSurvivesOverwrite(t *testing.T) {
+	p := MustNewPool(testCfg(1<<20, 2))
+	defer p.Close()
+	one, two := bytes.Repeat([]byte{1}, 4096), bytes.Repeat([]byte{2}, 4096)
+	p.Append(blk(1), 0, make([]byte, 16<<10), 0)
+	p.Append(blk(1), 4096, one, 1)
+	d, ok := p.Lookup(blk(1), 4096, 4096)
+	if !ok {
+		t.Fatal("expected hit")
+	}
+	p.Append(blk(1), 4096, two, 2)
+	if !bytes.Equal(d, one) {
+		t.Fatal("lookup result changed under a later append")
+	}
+	d[0] = 9
+	if d, _ = p.Lookup(blk(1), 4096, 4096); !bytes.Equal(d, two) {
+		t.Fatal("log does not hold the newest append")
+	}
+}
+
+// Lookup runs concurrently with appends rewriting the same hot range in
+// place; every record is one repeated byte, so a torn read shows up as a
+// mixed result. Meant for -race.
+func TestLookupConcurrentWithHotAppend(t *testing.T) {
+	p := MustNewPool(testCfg(1<<30, 2))
+	defer p.Close()
+	p.Append(blk(1), 0, make([]byte, 64<<10), 0)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		buf := make([]byte, 4096)
+		for i := 0; i < 2000; i++ {
+			for j := range buf {
+				buf[j] = byte(i)
+			}
+			p.Append(blk(1), 8192, buf, time.Duration(i))
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		d, ok := p.Lookup(blk(1), 8192, 4096)
+		if !ok {
+			t.Fatal("expected hit")
+		}
+		if !bytes.Equal(d, bytes.Repeat(d[:1], len(d))) {
+			t.Fatalf("torn lookup: bytes %d and %d differ", d[0], d[len(d)-1])
+		}
+	}
+	wg.Wait()
+}

@@ -3,6 +3,7 @@ package update
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/erasure"
@@ -171,6 +172,7 @@ func (r *collectorRecycler) recycleUnit(u *logpool.Unit) (cost, wall time.Durati
 		}
 		sw.blocks[int(be.Block.Idx)] = be.Extents
 	}
+	var scaled []byte // Insert copies, so one scratch buffer serves every extent
 	for _, sw := range work {
 		code, err := c.env.Code(sw.si.K, sw.si.M)
 		if err != nil {
@@ -183,7 +185,7 @@ func (r *collectorRecycler) recycleUnit(u *logpool.Unit) (cost, wall time.Durati
 			for src, exts := range sw.blocks {
 				coeff := code.Coeff(j, src)
 				for _, e := range exts {
-					scaled := make([]byte, len(e.Data))
+					scaled = slices.Grow(scaled[:0], len(e.Data))[:len(e.Data)]
 					gf256.MulSlice(coeff, scaled, e.Data)
 					merged.Insert(e.Off, scaled, e.V)
 				}

@@ -3,6 +3,7 @@ package update
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -305,6 +306,7 @@ func (t *tsue) recycleDeltaUnit(u *logpool.Unit) (cost, wall time.Duration, exte
 	}
 	// Stripes merge independently; model wall time as the largest
 	// per-stripe cost (stripes recycle in parallel across workers).
+	var scaled []byte // Insert copies, so one scratch buffer serves every extent
 	for _, sw := range work {
 		code, err := t.env.Code(sw.si.K, sw.si.M)
 		if err != nil {
@@ -316,7 +318,7 @@ func (t *tsue) recycleDeltaUnit(u *logpool.Unit) (cost, wall time.Duration, exte
 			for src, exts := range sw.blocks {
 				coeff := code.Coeff(j, src)
 				for _, e := range exts {
-					scaled := make([]byte, len(e.Data))
+					scaled = slices.Grow(scaled[:0], len(e.Data))[:len(e.Data)]
 					gf256.MulSlice(coeff, scaled, e.Data)
 					merged.Insert(e.Off, scaled, e.V)
 				}
@@ -485,7 +487,7 @@ func (t *tsue) Handle(ctx context.Context, msg *wire.Msg) *wire.Resp {
 // cost; otherwise the base block is read and pending log content overlaid.
 func (t *tsue) Read(b wire.BlockID, off uint32, size int) ([]byte, time.Duration, error) {
 	if data, ok := t.dataLogs.Lookup(b, off, uint32(size)); ok {
-		return append([]byte(nil), data...), 0, nil
+		return data, 0, nil
 	}
 	data, cost, err := t.env.Store().ReadRangeClass(sim.ClassForegroundRead, b, off, size, true)
 	if err != nil {
@@ -532,18 +534,23 @@ func (t *tsue) Drain(ctx context.Context, phase int, dead []wire.NodeID) error {
 	case 1:
 		t.dataLogs.Drain(0)
 	case 2:
+		// Take this drain's delta copies and install a fresh map in one
+		// critical section: copies that arrive from here on belong to
+		// the next drain, and promotion reads indexes no Handle call
+		// can still reach.
+		t.copyMu.Lock()
+		copies := t.deltaCopy
+		t.deltaCopy = make(map[wire.BlockID]*logpool.Index)
+		t.copyMu.Unlock()
 		if t.deltaLogs != nil {
 			t.deltaLogs.Drain(0)
 		}
 		// Promote delta copies whose primary DeltaLog died with its OSD.
 		if len(dead) > 0 {
-			if err := t.promoteCopies(ctx, dead); err != nil {
+			if err := t.promoteCopies(ctx, copies, dead); err != nil {
 				return err
 			}
 		}
-		t.copyMu.Lock()
-		t.deltaCopy = make(map[wire.BlockID]*logpool.Index)
-		t.copyMu.Unlock()
 	case 3:
 		t.parityLogs.Drain(0)
 	}
@@ -552,8 +559,9 @@ func (t *tsue) Drain(ctx context.Context, phase int, dead []wire.NodeID) error {
 
 // promoteCopies recycles delta copies for stripes whose first parity OSD
 // (the primary DeltaLog host) is dead, sending merged parity deltas to
-// the surviving parity logs (§4.2 log reliability).
-func (t *tsue) promoteCopies(ctx context.Context, dead []wire.NodeID) error {
+// the surviving parity logs (§4.2 log reliability). copies must no
+// longer be reachable from t.deltaCopy.
+func (t *tsue) promoteCopies(ctx context.Context, copies map[wire.BlockID]*logpool.Index, dead []wire.NodeID) error {
 	isDead := func(n wire.NodeID) bool {
 		for _, d := range dead {
 			if d == n {
@@ -562,9 +570,6 @@ func (t *tsue) promoteCopies(ctx context.Context, dead []wire.NodeID) error {
 		}
 		return false
 	}
-	t.copyMu.Lock()
-	copies := t.deltaCopy
-	t.copyMu.Unlock()
 	for b, ci := range copies {
 		si, ok := t.stripes.get(b)
 		if !ok || !isDead(si.parityNode(0)) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -218,11 +219,12 @@ func TestDefaultConfigSane(t *testing.T) {
 // fakeEnv routes Call through a stub for fanout tests.
 type fakeEnv struct {
 	call func(to wire.NodeID, msg *wire.Msg) (*wire.Resp, error)
+	dev  *device.Device
 }
 
 func (f *fakeEnv) ID() wire.NodeID          { return 1 }
 func (f *fakeEnv) Store() *blockstore.Store { return nil }
-func (f *fakeEnv) Dev() *device.Device      { return nil }
+func (f *fakeEnv) Dev() *device.Device      { return f.dev }
 func (f *fakeEnv) Call(_ context.Context, to wire.NodeID, msg *wire.Msg) (*wire.Resp, error) {
 	return f.call(to, msg)
 }
@@ -269,5 +271,71 @@ func TestFanoutPropagatesErrors(t *testing.T) {
 		return &wire.Msg{Kind: wire.KPing}
 	}); err == nil {
 		t.Fatal("single-target remote error must propagate")
+	}
+}
+
+// Second-parity delta copies (KDeltaLogAdd role 1) keep arriving while
+// Drain phase 2 promotes the copies of stripes whose first parity OSD is
+// dead. Every copy must be promoted exactly once to each surviving
+// parity OSD, by the drain in flight or by the next one; under -race
+// this also guards the hand-off of the copy map.
+func TestDrainPromotesConcurrentDeltaCopies(t *testing.T) {
+	const k, m, copies = 2, 3, 2000
+	loc := wire.StripeLoc{Nodes: []wire.NodeID{10, 11, 12, 13, 14}, Epoch: 1}
+	dead := []wire.NodeID{12} // parity OSD 0, the primary DeltaLog host
+	var mu sync.Mutex
+	promoted := map[wire.NodeID]map[uint32]int{}
+	env := &fakeEnv{dev: device.New("ssd", device.ChameleonSSD()), call: func(to wire.NodeID, msg *wire.Msg) (*wire.Resp, error) {
+		if msg.Kind == wire.KParityLogAdd {
+			mu.Lock()
+			if promoted[to] == nil {
+				promoted[to] = map[uint32]int{}
+			}
+			promoted[to][msg.Block.Stripe]++
+			mu.Unlock()
+		}
+		return &wire.Resp{}, nil
+	}}
+	cfg := DefaultConfig()
+	cfg.BlockSize, cfg.UnitSize, cfg.Pools, cfg.Workers = 64<<10, 64<<10, 1, 1
+	ts, err := newTSUE(cfg, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	ctx := context.Background()
+
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		for i := 0; i < copies; i++ {
+			resp := ts.Handle(ctx, &wire.Msg{
+				Kind: wire.KDeltaLogAdd, Flag: 1, Block: wire.BlockID{Ino: 1, Stripe: uint32(i)},
+				Data: []byte{1, 2, 3, 4}, K: k, M: m, Loc: loc,
+			})
+			if !resp.OK() {
+				t.Errorf("copy %d: %v", i, resp.Error())
+			}
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-sent:
+			running = false
+		default:
+		}
+		if err := ts.Drain(ctx, 2, dead); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := promoted[12]; ok {
+		t.Fatal("promoted to the dead parity OSD")
+	}
+	for _, to := range []wire.NodeID{13, 14} {
+		for s := uint32(0); s < copies; s++ {
+			if n := promoted[to][s]; n != 1 {
+				t.Fatalf("stripe %d promoted %d times to node %d, want 1", s, n, to)
+			}
+		}
 	}
 }
