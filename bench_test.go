@@ -81,28 +81,47 @@ func BenchmarkFig8bRecovery(b *testing.B) { runExperiment(b, "fig8b") }
 // through each method's synchronous path (real execution time of the
 // in-process cluster, not modeled latency).
 func BenchmarkUpdateOp(b *testing.B) {
+	payload := make([]byte, 4096)
+	benchBlockOp(b, func(ctx context.Context, cli *tsue.Client, ino uint64, off int64) error {
+		_, err := cli.UpdateContext(ctx, ino, off, payload, 0)
+		return err
+	})
+}
+
+// BenchmarkReadOp measures one 4 KiB client read inside a single block
+// through each method's read path.
+func BenchmarkReadOp(b *testing.B) {
+	benchBlockOp(b, func(ctx context.Context, cli *tsue.Client, ino uint64, off int64) error {
+		_, _, err := cli.ReadContext(ctx, ino, off, 4096)
+		return err
+	})
+}
+
+// benchBlockOp runs op once per iteration at rolling 4 KiB offsets of a
+// one-stripe file (64 KiB blocks), for every update method.
+func benchBlockOp(b *testing.B, op func(ctx context.Context, cli *tsue.Client, ino uint64, off int64) error) {
 	for _, method := range tsue.AllMethods {
 		b.Run(method, func(b *testing.B) {
+			ctx := context.Background()
 			opts := tsue.DefaultOptions()
 			opts.Method = method
 			opts.BlockSize = 64 << 10
 			cluster := tsue.MustNewCluster(opts)
 			defer cluster.Close()
 			cli := cluster.NewClient()
-			ino, err := cli.Create("bench")
+			ino, err := cli.CreateContext(ctx, "bench")
 			if err != nil {
 				b.Fatal(err)
 			}
 			data := make([]byte, cli.StripeSpan())
-			if _, err := cli.WriteFile(ino, data); err != nil {
+			if _, err := cli.WriteFileContext(ctx, ino, data); err != nil {
 				b.Fatal(err)
 			}
-			payload := make([]byte, 4096)
 			b.SetBytes(4096)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				off := int64(i*4096) % int64(len(data)-4096)
-				if _, err := cli.Update(ino, off, payload, 0); err != nil {
+				if err := op(ctx, cli, ino, int64(i*4096)%int64(len(data)-4096)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -530,40 +530,19 @@ func (c *Client) WriteFile(ino uint64, data []byte) (int, error) {
 
 // UpdateContext applies a partial update at a file byte offset,
 // splitting it across data blocks as needed. v is the virtual workload
-// time of the request. Returns the synchronous update latency (max
-// across split parts, which proceed concurrently). A cancelled ctx
-// aborts unsent parts at the next priced step; like any interrupted
-// POSIX write, a multi-part update may be torn (parity stays consistent
-// per part — each part's two-stage update is atomic at its OSD).
+// time of the request. Returns the synchronous update latency, the max
+// across parts: the first runs on the caller's goroutine, the rest
+// beside it. A cancelled ctx aborts unsent parts at the next priced
+// step; like an interrupted POSIX write, a multi-part update may be torn
+// (parity stays consistent per part: its update is atomic at its OSD).
 func (c *Client) UpdateContext(ctx context.Context, ino uint64, off int64, data []byte, v time.Duration) (time.Duration, error) {
 	parts, err := c.split(ctx, ino, off, len(data))
 	if err != nil {
 		return 0, err
 	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		max  time.Duration
-		rerr error
-	)
-	for _, p := range parts {
-		wg.Add(1)
-		go func(p part) {
-			defer wg.Done()
-			cost, err := c.updatePart(ctx, p, data[p.src:p.src+p.n], v)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				rerr = err
-				return
-			}
-			if cost > max {
-				max = cost
-			}
-		}(p)
-	}
-	wg.Wait()
-	return max, rerr
+	return runParts(parts, func(p part) (time.Duration, error) {
+		return c.updatePart(ctx, p, data[p.src:p.src+p.n], v)
+	})
 }
 
 // Update applies a partial update at a file byte offset.
@@ -599,40 +578,58 @@ func (c *Client) updatePart(ctx context.Context, p part, payload []byte, v time.
 	return cost, nil
 }
 
-// ReadContext fetches [off, off+size) of a file.
+// ReadContext fetches [off, off+size) of a file; parts run as in
+// UpdateContext.
 func (c *Client) ReadContext(ctx context.Context, ino uint64, off int64, size int) ([]byte, time.Duration, error) {
 	parts, err := c.split(ctx, ino, off, size)
 	if err != nil {
 		return nil, 0, err
 	}
 	out := make([]byte, size)
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		max  time.Duration
-		rerr error
-	)
-	for _, p := range parts {
-		wg.Add(1)
-		go func(p part) {
-			defer wg.Done()
-			cost, err := c.readPart(ctx, p, out[p.src:p.src+p.n])
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				rerr = err
-				return
-			}
-			if cost > max {
-				max = cost
-			}
-		}(p)
-	}
-	wg.Wait()
-	if rerr != nil {
-		return nil, 0, rerr
+	max, err := runParts(parts, func(p part) (time.Duration, error) {
+		return c.readPart(ctx, p, out[p.src:p.src+p.n])
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 	return out, max, nil
+}
+
+// runParts runs fn for every part and returns the largest successful
+// part cost and a failed part's error. parts[0] runs on the caller's
+// goroutine, whose stack is already grown, and only the rest get
+// goroutines, so a single-part op spawns none.
+func runParts(parts []part, fn func(part) (time.Duration, error)) (max time.Duration, err error) {
+	type result struct {
+		cost time.Duration
+		err  error
+	}
+	// Capture ch: a captured variable assigned twice (rest) escapes.
+	var rest chan result
+	if len(parts) > 1 {
+		ch := make(chan result, len(parts)-1)
+		for _, p := range parts[1:] {
+			go func() {
+				cost, err := fn(p)
+				ch <- result{cost, err}
+			}()
+		}
+		rest = ch
+	}
+	for i := range parts {
+		var r result
+		if i == 0 {
+			r.cost, r.err = fn(parts[0])
+		} else {
+			r = <-rest
+		}
+		if r.err != nil {
+			err = r.err
+		} else if r.cost > max {
+			max = r.cost
+		}
+	}
+	return max, err
 }
 
 // Read fetches [off, off+size) of a file.

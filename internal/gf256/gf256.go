@@ -133,8 +133,9 @@ func XorSlice(dst, src []byte) {
 	if len(dst) != len(src) {
 		panic("gf256: XorSlice length mismatch")
 	}
-	// The compiler vectorizes this loop; a hand-rolled uint64 walk is not
-	// measurably faster on amd64 for the block sizes ECFS uses.
+	// The compiler does not vectorize this loop: it XORs a byte at a
+	// time, 1-2 GB/s on 64 KiB slices on a 2-vCPU Xeon VM, where
+	// crypto/subtle.XORBytes ran 15-19 GB/s (ROADMAP direction 2).
 	for i, s := range src {
 		dst[i] ^= s
 	}

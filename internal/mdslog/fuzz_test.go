@@ -45,10 +45,10 @@ func validLogBytes(t testing.TB) []byte {
 // resurrected by replaying garbage.
 func FuzzMDSLogReplay(f *testing.F) {
 	valid := validLogBytes(f)
-	f.Add(valid)                    // clean log
-	f.Add(valid[:len(valid)-3])     // torn tail mid-record
-	f.Add([]byte{})                 // empty file
-	f.Add(valid[:frameHeader-2])    // short header
+	f.Add(valid)                 // clean log
+	f.Add(valid[:len(valid)-3])  // torn tail mid-record
+	f.Add([]byte{})              // empty file
+	f.Add(valid[:frameHeader-2]) // short header
 	bitflip := bytes.Clone(valid)
 	bitflip[len(bitflip)/2] ^= 0x40 // corrupt a byte in the middle
 	f.Add(bitflip)
