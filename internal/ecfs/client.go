@@ -3,6 +3,7 @@ package ecfs
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -599,6 +600,14 @@ func (c *Client) ReadContext(ctx context.Context, ino uint64, off int64, size in
 // part cost and a failed part's error. parts[0] runs on the caller's
 // goroutine, whose stack is already grown, and only the rest get
 // goroutines, so a single-part op spawns none.
+//
+// It ends with a yield. Without one, a caller that issues ops back to
+// back never blocks, so the runtime preempts it every 10 ms. With one
+// processor, a preemption that lands in a syscall (a durable OSD's log
+// write) moves the processor to another thread and leaves sysmon
+// polling fast enough to take it again from later syscalls: for
+// stretches of ops, each syscall costs a thread switch. Yielding at the
+// end of every op lets GC and recycle goroutines run between ops.
 func runParts(parts []part, fn func(part) (time.Duration, error)) (max time.Duration, err error) {
 	type result struct {
 		cost time.Duration
@@ -629,6 +638,7 @@ func runParts(parts []part, fn func(part) (time.Duration, error)) (max time.Dura
 			max = r.cost
 		}
 	}
+	runtime.Gosched()
 	return max, err
 }
 

@@ -168,3 +168,27 @@ func TestSinglePartOpsRunOnCallerGoroutine(t *testing.T) {
 		}
 	}
 }
+
+// TestRunPartsYields pins the yield that ends every op: on one
+// processor, a goroutine that became runnable before two ops that never
+// block has run by the time they return. (Two, because on every 61st
+// tick the scheduler serves its global queue, where the yielding caller
+// waits, first.)
+func TestRunPartsYields(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	inline := func(part) (time.Duration, error) { return 0, nil }
+	for i := 0; i < 200; i++ {
+		ran := make(chan struct{})
+		go func() { close(ran) }()
+		for op := 0; op < 2; op++ {
+			if _, err := runParts([]part{{}}, inline); err != nil {
+				t.Fatal(err)
+			}
+		}
+		select {
+		case <-ran:
+		default:
+			t.Fatalf("round %d: a runnable goroutine had not run when two ops returned", i)
+		}
+	}
+}
